@@ -95,6 +95,11 @@ class Hypervisor:
         self._vnpus: dict[int, VirtualNPU] = {}
         self._next_vmid = 1
         self._healthy = True
+        # Union of every resident's cores, and a counter bumped on each
+        # change to it: both move only in ``_provision``/``_teardown``,
+        # so derived per-chip views can cache against ``version``.
+        self._allocated: set[int] = set()
+        self.version = 0
 
     # -- queries ----------------------------------------------------------
     @property
@@ -109,16 +114,19 @@ class Hypervisor:
 
     @property
     def allocated_cores(self) -> set[int]:
-        cores: set[int] = set()
-        for vnpu in self._vnpus.values():
-            cores.update(vnpu.physical_cores)
-        return cores
+        """Cores held by resident vNPUs, as a fresh copy.
+
+        Maintained incrementally: ``_provision`` and ``_teardown`` are
+        its only mutation points. Callers may subtract from the copy
+        and hand it to the mapper without aliasing hypervisor state.
+        """
+        return set(self._allocated)
 
     def core_utilization(self) -> float:
-        return len(self.allocated_cores) / self.chip.core_count
+        return len(self._allocated) / self.chip.core_count
 
     def free_core_count(self) -> int:
-        return self.chip.core_count - len(self.allocated_cores)
+        return self.chip.core_count - len(self._allocated)
 
     @property
     def healthy(self) -> bool:
@@ -368,10 +376,12 @@ class Hypervisor:
             setup_cycles=setup_cycles,
         )
         self._vnpus[vmid] = vnpu
-        # Keep the mapper's incremental free-set view in sync (only after
-        # the provision is fully committed — failures above leave the
-        # tracked set untouched).
+        # Keep the mapper's incremental free-set view and the allocated
+        # set in sync (only after the provision is fully committed —
+        # failures above leave both untouched).
         self.mapper.notify_alloc(mapping.physical_cores)
+        self._allocated.update(mapping.physical_cores)
+        self.version += 1
         if fresh_vmid:
             self._next_vmid += 1
         return vnpu
@@ -387,6 +397,8 @@ class Hypervisor:
         self.chip.controller.remove_routing_table(vnpu.vmid, hyper_mode=True)
         del self._vnpus[vnpu.vmid]
         self.mapper.notify_free(vnpu.physical_cores)
+        self._allocated.difference_update(vnpu.physical_cores)
+        self.version += 1
 
     def _migration_cycles(self, resident_bytes: int,
                           destination: "Hypervisor",

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import pickle
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.arch.chip import Chip
 from repro.arch.config import SoCConfig, sim_config
@@ -93,6 +93,11 @@ class FleetChip:
     index: int
     chip: Chip
     hypervisor: Hypervisor
+    # ``fragmentation()`` cache, keyed on the hypervisor's version.
+    _fragmentation: float = field(default=0.0, init=False, repr=False,
+                                  compare=False)
+    _fragmentation_version: int = field(default=-1, init=False,
+                                        repr=False, compare=False)
 
     @property
     def healthy(self) -> bool:
@@ -110,8 +115,13 @@ class FleetChip:
         return self.hypervisor.core_utilization()
 
     def fragmentation(self) -> float:
-        return fragmentation_ratio(self.chip.topology,
-                                   self.hypervisor.allocated_cores)
+        """Fragmentation ratio, recomputed only after the chip changed."""
+        version = self.hypervisor.version
+        if self._fragmentation_version != version:
+            self._fragmentation = fragmentation_ratio(
+                self.chip.topology, self.hypervisor.allocated_cores)
+            self._fragmentation_version = version
+        return self._fragmentation
 
 
 # -- cross-chip placement policies -----------------------------------------
@@ -770,9 +780,11 @@ class FleetScheduler:
         if not healthy:
             return False  # everything is down: park until recovery
         largest = max(fc.chip.core_count for fc in healthy)
+        # Every vNPU holds at least one core: all cores free == no
+        # residents, in O(1).
         idle = [fc for fc in healthy
                 if fc.chip.core_count == largest
-                and not fc.hypervisor.vnpus
+                and fc.hypervisor.free_core_count() == fc.chip.core_count
                 and session.core_count <= fc.chip.core_count
                 and session.memory_bytes
                 <= fc.hypervisor.guest_memory_capacity]
