@@ -47,7 +47,11 @@ from repro.core.routing_table import (
     StandardRoutingTable,
 )
 from repro.core.strategies import MappingStrategy, resolve_strategy
-from repro.core.topology_mapping import MappingResult, TopologyMapper
+from repro.core.topology_mapping import (
+    MappingContext,
+    MappingResult,
+    TopologyMapper,
+)
 from repro.core.vchunk import AccessCounter, RangeTranslator, RTT_ENTRY_BITS
 from repro.core.vnpu import VirtualNPU, VNpuSpec
 from repro.core.vrouter import NocVRouter
@@ -84,11 +88,16 @@ class Hypervisor:
     def __init__(self, chip: Chip, strategy: str = "similar",
                  costs: EditCosts | None = None,
                  rtt_tlb_entries: int = 4,
-                 min_block: int = 1 << 20) -> None:
+                 min_block: int = 1 << 20,
+                 mapping_context: MappingContext | None = None) -> None:
         resolve_strategy(strategy)  # fail fast on unknown names
         self.chip = chip
         self.strategy = strategy
-        self.mapper = TopologyMapper(chip.topology, costs=costs)
+        #: ``mapping_context`` shares the mapper's pure candidate memos
+        #: with other chips of the same topology (a fleet passes one per
+        #: distinct topology); by default the mapper keeps private ones.
+        self.mapper = TopologyMapper(chip.topology, costs=costs,
+                                     context=mapping_context)
         self.rtt_tlb_entries = rtt_tlb_entries
         capacity = _largest_pow2_at_most(chip.config.memory.capacity_bytes)
         self.buddy = BuddyAllocator(capacity=capacity, min_block=min_block)

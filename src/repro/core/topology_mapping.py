@@ -31,7 +31,11 @@ reference implementation for equivalence checks and perf regressions):
   by (free set, k); induced subtopologies, WL certificates and all-pairs
   hop tables keyed by ``frozenset(nodes)`` (the chip-level table is
   computed once and reused verbatim for convex mesh-block candidates,
-  where the subgraph metric collapses to the chip metric);
+  where the subgraph metric collapses to the chip metric). Every memo
+  value is a pure function of (chip topology, request, node set), so
+  the memos live in a :class:`MappingContext` that all mappers over
+  structurally equal chips may share — a fleet of identical chips
+  scores each candidate once, not once per chip;
 - *lower-bound screening* — candidates are visited cheapest
   :func:`~repro.core.ged.bijection_lower_bound` first and pruned once
   the bound exceeds the incumbent's exact score (``cache_stats`` exposes
@@ -135,15 +139,49 @@ def enumerate_connected_subsets(topology: Topology, k: int,
     return results
 
 
-class TopologyMapper:
-    """Implements the allocation strategies over one chip topology."""
+def topology_key(topology: Topology) -> tuple:
+    """Structural identity of a topology.
+
+    The name is deliberately excluded (every tenant names its mesh
+    differently, every chip its topology); coordinates are included
+    because ``_mesh_placements`` slides a request by its grid layout, and
+    node attributes because they price substitutions.
+    """
+    return (
+        tuple(topology.nodes),
+        tuple(topology.edges),
+        tuple(sorted(topology.coords.items())) if topology.coords else None,
+        tuple(sorted(topology.node_attrs.items()))
+        if topology.node_attrs else None,
+    )
+
+
+def _context_signature(chip_topology: Topology, costs: EditCosts,
+                       candidate_limit: int, esu_max_request: int,
+                       memo_size: int) -> tuple:
+    return (topology_key(chip_topology), costs, candidate_limit,
+            esu_max_request, memo_size)
+
+
+class MappingContext:
+    """The fast path's pure candidate memos for one chip topology.
+
+    Every value memoized here — WL certificates (of candidates and of
+    requests), induced subtopologies, hop tables, connected-subset
+    enumerations, Hungarian scores, lower bounds and 2-opt polish — is a
+    pure function of (chip topology, request, node set). Memo builds read
+    chip-derived inputs only from the context itself (its chip, ``costs``,
+    ``chip_hops``, ``candidate_limit``, ``esu_max_request``), so a value
+    cannot depend on which mapper missed first, and every
+    :class:`TopologyMapper` over a structurally equal chip with the same
+    parameters may share one context. Per-chip state — free sets, the
+    ``map_similar`` result cache and all counters — stays on the mapper.
+    """
 
     def __init__(self, chip_topology: Topology,
                  costs: EditCosts | None = None,
                  candidate_limit: int = 20_000,
                  esu_max_request: int = 9,
-                 cache_size: int = 512,
-                 fast_path: bool = True,
                  memo_size: int = 4096) -> None:
         self.chip = chip_topology
         self.costs = costs or EditCosts()
@@ -152,20 +190,11 @@ class TopologyMapper:
         #: exhaustively (ESU); beyond it a compact-region generator is used
         #: (the paper prunes aggressively and parallelizes instead).
         self.esu_max_request = esu_max_request
-        #: LRU memo for :meth:`map_similar`, keyed on (request structure,
-        #: frozen free-core set). Under tenant churn the same shapes recur
-        #: against the same fragmentation states, and candidate enumeration
-        #: plus GED scoring is by far the hot path. ``cache_size=0``
-        #: disables caching.
-        self.cache_size = cache_size
-        self._similar_cache: OrderedDict[tuple, MappingResult] = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        #: ``False`` selects the retained reference implementation: fresh
-        #: free-topology builds, no memoization, no screening, and the
-        #: full-recompute 2-opt. The fast path returns identical
-        #: ``(distance, vmap)`` results (see module docstring).
-        self.fast_path = fast_path
+        #: Bound on each memo (LRU).
+        self.memo_size = memo_size
+        self.signature = _context_signature(
+            chip_topology, self.costs, candidate_limit, esu_max_request,
+            memo_size)
         # Delta-evaluated 2-opt tracks the full recomputation bit-for-bit
         # only when every objective term is a small dyadic rational —
         # default cost callables plus 1/16-granular scalars qualify.
@@ -173,7 +202,7 @@ class TopologyMapper:
         # flip accept decisions at the 1e-12 threshold, so they fall back
         # to the full-recompute refine (screening and memos stay on:
         # their equivalence does not depend on summation order).
-        self._delta_exact = (
+        self.delta_exact = (
             self.costs.node_substitute is _default_node_substitute
             and self.costs.edge_delete is _default_edge_cost
             and all(
@@ -183,9 +212,94 @@ class TopologyMapper:
                               self.costs.edge_insert)
             )
         )
-        #: Bound on each frozenset-keyed memo (certificates, induced
-        #: subtopologies, hop tables, subset enumerations).
-        self.memo_size = memo_size
+        # Coordinates are required, not just mesh structure: without them
+        # mesh_shape() falls back to isomorphism, which would misdetect a
+        # snake-shaped candidate as a "1xN block" and reuse understated
+        # chip hops in _candidate_hops.
+        self.chip_is_mesh = (bool(chip_topology.coords)
+                             and chip_topology.mesh_shape() is not None)
+        self._chip_hops: dict[int, dict[int, int]] | None = None
+        # Score, polish and bound are keyed by (request structure,
+        # candidate node set): the same candidate regions recur across
+        # calls even when the surrounding free set differs, which is
+        # where churn actually repeats itself.
+        self.cert_memo: OrderedDict[frozenset, str] = OrderedDict()
+        self.request_cert_memo: OrderedDict[tuple, str] = OrderedDict()
+        self.subtopo_memo: OrderedDict[frozenset, Topology] = OrderedDict()
+        self.hops_memo: OrderedDict[frozenset, dict] = OrderedDict()
+        self.subset_memo: OrderedDict[tuple, list] = OrderedDict()
+        self.score_memo: OrderedDict[tuple, tuple] = OrderedDict()
+        self.polish_memo: OrderedDict[tuple, tuple] = OrderedDict()
+        self.bound_memo: OrderedDict[tuple, float] = OrderedDict()
+
+    def memoized(self, memo: OrderedDict, key, build):
+        """LRU lookup in one of this context's memos, building on a miss."""
+        hit = memo.get(key)
+        if hit is not None:
+            memo.move_to_end(key)
+            return hit
+        value = build()
+        memo[key] = value
+        while len(memo) > self.memo_size:
+            memo.popitem(last=False)
+        return value
+
+    @property
+    def chip_hops(self) -> dict[int, dict[int, int]]:
+        """Chip-level all-pairs hop table, computed once per context."""
+        if self._chip_hops is None:
+            self._chip_hops = TopologyMapper._all_pairs_hops_vectorized(
+                self.chip)
+        return self._chip_hops
+
+
+class TopologyMapper:
+    """Implements the allocation strategies over one chip topology.
+
+    The mapper owns one chip's mutable view — its tracked and ad-hoc
+    free topologies, the ``(request, free set)`` result cache and the
+    ``cache_stats`` counters. The fast path's pure candidate memos live
+    in ``context`` (a :class:`MappingContext`): a private one unless the
+    caller hands in a context to share, which must have been built for a
+    structurally equal chip topology and the same ``costs``,
+    ``candidate_limit``, ``esu_max_request`` and ``memo_size`` (anything
+    else raises :class:`~repro.errors.TopologyError`).
+    """
+
+    def __init__(self, chip_topology: Topology,
+                 costs: EditCosts | None = None,
+                 candidate_limit: int = 20_000,
+                 esu_max_request: int = 9,
+                 cache_size: int = 512,
+                 fast_path: bool = True,
+                 memo_size: int = 4096,
+                 context: MappingContext | None = None) -> None:
+        if context is None:
+            context = MappingContext(chip_topology, costs, candidate_limit,
+                                     esu_max_request, memo_size)
+        elif context.signature != _context_signature(
+                chip_topology, costs or EditCosts(), candidate_limit,
+                esu_max_request, memo_size):
+            raise TopologyError(
+                f"mapping context was built for another chip topology or "
+                f"mapping parameters than {chip_topology.name!r}")
+        self.context = context
+        self.chip = chip_topology
+        self.costs = context.costs
+        #: LRU memo for :meth:`map_similar`, keyed on (request structure,
+        #: frozen free-core set). Under tenant churn the same shapes recur
+        #: against the same fragmentation states, and candidate enumeration
+        #: plus GED scoring is by far the hot path. ``cache_size=0``
+        #: disables caching. Per chip: the key names this chip's free set.
+        self.cache_size = cache_size
+        self._similar_cache: OrderedDict[tuple, MappingResult] = OrderedDict()
+        self.cache_hits = 0
+        self.cache_misses = 0
+        #: ``False`` selects the retained reference implementation: fresh
+        #: free-topology builds, no memoization, no screening, and the
+        #: full-recompute 2-opt. The fast path returns identical
+        #: ``(distance, vmap)`` results (see module docstring).
+        self.fast_path = fast_path
         # Chip-level lookups hoisted out of _mesh_placements (they are
         # pure functions of the chip): coordinate index, grid extents and
         # the boustrophedon walk of the full chip.
@@ -198,24 +312,6 @@ class TopologyMapper:
             self._chip_rows = 0
             self._chip_cols = 0
         self._chip_zigzag = self._zigzag_order(chip_topology)
-        # Coordinates are required, not just mesh structure: without them
-        # mesh_shape() falls back to isomorphism, which would misdetect a
-        # snake-shaped candidate as a "1xN block" and reuse understated
-        # chip hops in _candidate_hops.
-        self._chip_is_mesh = (bool(chip_topology.coords)
-                              and chip_topology.mesh_shape() is not None)
-        self._chip_hops: dict[int, dict[int, int]] | None = None
-        # Fast-path memos (all LRU-bounded by memo_size). Score and polish
-        # are keyed by (request structure, candidate node set): the same
-        # candidate regions recur across calls even when the surrounding
-        # free set differs, which is where churn actually repeats itself.
-        self._cert_memo: OrderedDict[frozenset, str] = OrderedDict()
-        self._subtopo_memo: OrderedDict[frozenset, Topology] = OrderedDict()
-        self._hops_memo: OrderedDict[frozenset, dict] = OrderedDict()
-        self._subset_memo: OrderedDict[tuple, list] = OrderedDict()
-        self._score_memo: OrderedDict[tuple, tuple] = OrderedDict()
-        self._polish_memo: OrderedDict[tuple, tuple] = OrderedDict()
-        self._bound_memo: OrderedDict[tuple, float] = OrderedDict()
         # Incremental free-set maintenance: the tracked allocated set is
         # kept in sync by notify_alloc/notify_free (wired through the
         # hypervisor), and the matching free Topology is updated with
@@ -235,27 +331,11 @@ class TopologyMapper:
         self.free_updates = 0
 
     # -- mapping cache -------------------------------------------------------
-    def _request_key(self, request: Topology) -> tuple:
-        """Structural identity of a request topology.
-
-        The request's name is deliberately excluded (every tenant names its
-        mesh differently); coordinates are included because
-        ``_mesh_placements`` slides the request by its grid layout, and
-        node attributes because they price substitutions.
-        """
-        return (
-            tuple(request.nodes),
-            tuple(request.edges),
-            tuple(sorted(request.coords.items())) if request.coords else None,
-            tuple(sorted(request.node_attrs.items()))
-            if request.node_attrs else None,
-        )
-
     def _cache_key(self, request: Topology, free: Topology,
                    require_connected: bool) -> tuple:
         """Structural identity of a ``map_similar`` call."""
         return (
-            self._request_key(request),
+            topology_key(request),
             frozenset(free.nodes),
             require_connected,
         )
@@ -264,6 +344,14 @@ class TopologyMapper:
         self._similar_cache.clear()
 
     def cache_stats(self) -> dict[str, int | float]:
+        """This mapper's counters: result-cache hits/misses/entries and
+        the fast-path work it did itself.
+
+        Counters are per mapper even when the context is shared:
+        ``objective_evaluations`` counts the 2-opt trials this mapper
+        actually ran, so a polish another chip already memoized in the
+        shared context costs (and counts) nothing here.
+        """
         lookups = self.cache_hits + self.cache_misses
         return {
             "hits": self.cache_hits,
@@ -277,18 +365,6 @@ class TopologyMapper:
             "free_rebuilds": self.free_rebuilds,
             "free_updates": self.free_updates,
         }
-
-    def _memoized(self, memo: OrderedDict, key, build):
-        """LRU-bounded memo shared by the frozenset-keyed fast-path caches."""
-        hit = memo.get(key)
-        if hit is not None:
-            memo.move_to_end(key)
-            return hit
-        value = build()
-        memo[key] = value
-        while len(memo) > self.memo_size:
-            memo.popitem(last=False)
-        return value
 
     # -- incremental free-set maintenance ------------------------------------
     def notify_alloc(self, cores) -> None:
@@ -453,15 +529,17 @@ class TopologyMapper:
     def _candidate_sets(self, free: Topology, k: int) -> list[frozenset[int]]:
         """Connected k-subsets of ``free`` (memoized per free set on the
         fast path — churn revisits the same fragmentation states)."""
+        context = self.context
+
         def build():
-            if k <= self.esu_max_request:
-                return enumerate_connected_subsets(free, k,
-                                                   limit=self.candidate_limit)
+            if k <= context.esu_max_request:
+                return enumerate_connected_subsets(
+                    free, k, limit=context.candidate_limit)
             return self._compact_sets(free, k)
         if not self.fast_path:
             return build()
-        return self._memoized(self._subset_memo,
-                              (frozenset(free.nodes), k), build)
+        return context.memoized(context.subset_memo,
+                                (frozenset(free.nodes), k), build)
 
     def _induced(self, free: Topology, nodes: frozenset[int]) -> Topology:
         """Candidate subtopology; memoized by node set on the fast path.
@@ -472,15 +550,26 @@ class TopologyMapper:
         """
         if not self.fast_path:
             return free.subtopology(nodes)
-        return self._memoized(self._subtopo_memo, frozenset(nodes),
-                              lambda: self.chip.subtopology(nodes))
+        context = self.context
+        return context.memoized(context.subtopo_memo, frozenset(nodes),
+                                lambda: context.chip.subtopology(nodes))
 
     def _certificate(self, candidate: Topology) -> str:
         """WL certificate, memoized by node set on the fast path."""
         if not self.fast_path:
             return candidate.wl_certificate()
-        return self._memoized(self._cert_memo, frozenset(candidate.nodes),
-                              candidate.wl_certificate)
+        return self.context.memoized(self.context.cert_memo,
+                                     frozenset(candidate.nodes),
+                                     candidate.wl_certificate)
+
+    def _request_certificate(self, request_key: tuple,
+                             request: Topology) -> str:
+        """The request's WL certificate, memoized by structure on the
+        fast path (every tenant of one shape shares it)."""
+        if not self.fast_path:
+            return request.wl_certificate()
+        return self.context.memoized(self.context.request_cert_memo,
+                                     request_key, request.wl_certificate)
 
     def _candidate_pool(self, request: Topology, free: Topology) -> tuple[list[Topology], int]:
         """Connected candidates of the right size plus a considered count."""
@@ -566,13 +655,14 @@ class TopologyMapper:
     def _map_similar_uncached(self, request: Topology, free: Topology,
                               allocated: set[int],
                               require_connected: bool) -> MappingResult:
-        request_cert = request.wl_certificate()
-
         for vmap in self._mesh_placements(request, free):
             return MappingResult(  # Algorithm 1 line 22: early exact return
                 strategy="similar", vmap=vmap, distance=0.0,
                 connected=True, candidates_considered=1,
             )
+
+        request_key = topology_key(request)
+        request_cert = self._request_certificate(request_key, request)
 
         pool, considered = self._candidate_pool(request, free)
         candidates: list[Topology] = []
@@ -599,12 +689,12 @@ class TopologyMapper:
             return self.map_fragmented(request, allocated)
 
         if self.fast_path:
-            request_key = self._request_key(request)
             candidate, mapping = self._select_screened(request_key, request,
                                                        candidates)
             seed = mapping
-            distance, polished = self._memoized(
-                self._polish_memo, (request_key, frozenset(candidate.nodes)),
+            distance, polished = self.context.memoized(
+                self.context.polish_memo,
+                (request_key, frozenset(candidate.nodes)),
                 lambda: self._polish(request, candidate, seed))
             mapping = dict(polished)
         else:
@@ -630,8 +720,8 @@ class TopologyMapper:
         broadcasting (bit-identical to the scalar loop, so the
         assignment — and hence the mapping — cannot drift).
         """
-        distance, mapping = self._memoized(
-            self._score_memo, (request_key, frozenset(candidate.nodes)),
+        distance, mapping = self.context.memoized(
+            self.context.score_memo, (request_key, frozenset(candidate.nodes)),
             lambda: best_bijection(request, candidate, self.costs,
                                    vectorize=True))
         return distance, dict(mapping)
@@ -649,9 +739,10 @@ class TopologyMapper:
         several equal-distance candidates wins.
         """
         self.candidates_considered += len(candidates)
+        context = self.context
         bounds = [
-            self._memoized(
-                self._bound_memo, (request_key, frozenset(candidate.nodes)),
+            context.memoized(
+                context.bound_memo, (request_key, frozenset(candidate.nodes)),
                 lambda candidate=candidate: bijection_lower_bound(
                     request, candidate, self.costs, vectorize=True))
             for candidate in candidates
@@ -692,7 +783,7 @@ class TopologyMapper:
                               self._zigzag_order(candidate))))
         hop = self._candidate_hops(candidate)
         if self.fast_path:
-            refine = (self._refine_delta if self._delta_exact
+            refine = (self._refine_delta if self.context.delta_exact
                       else self._stretch_aware_refine)
             best: tuple[float, dict[int, int]] | None = None
             seen: set[tuple] = set()
@@ -773,15 +864,6 @@ class TopologyMapper:
             for i, u in enumerate(nodes)
         }
 
-    @property
-    def chip_hops(self) -> dict[int, dict[int, int]]:
-        """Chip-level all-pairs hop table, computed once per mapper."""
-        if self._chip_hops is None:
-            build = (self._all_pairs_hops_vectorized if self.fast_path
-                     else self._all_pairs_hops)
-            self._chip_hops = build(self.chip)
-        return self._chip_hops
-
     def _candidate_hops(self, candidate: Topology) -> dict[int, dict[int, int]]:
         """Per-candidate all-pairs hops, memoized by ``frozenset(nodes)``.
 
@@ -794,15 +876,17 @@ class TopologyMapper:
         if not self.fast_path:
             return self._all_pairs_hops(candidate)
 
+        context = self.context
+
         def build():
-            if self._chip_is_mesh and candidate.mesh_shape() is not None:
-                chip_hops = self.chip_hops
+            if context.chip_is_mesh and candidate.mesh_shape() is not None:
+                chip_hops = context.chip_hops
                 nodes = candidate.nodes
                 return {u: {v: chip_hops[u][v] for v in nodes}
                         for u in nodes}
             return self._all_pairs_hops_vectorized(candidate)
-        return self._memoized(self._hops_memo, frozenset(candidate.nodes),
-                              build)
+        return context.memoized(context.hops_memo, frozenset(candidate.nodes),
+                                build)
 
     #: Weight of edge *stretch* (extra hops of a request edge on the
     #: physical fabric) relative to one edit operation. This realizes the

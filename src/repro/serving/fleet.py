@@ -12,7 +12,8 @@ through the same registry idiom:
 - ``least_loaded`` — the chip with the most free cores;
 - ``best_fit`` — the chip whose trial placement has the smallest
   topology-mapping distance (probes Algorithm 1 per chip; the mapper's
-  LRU cache keeps repeat probes cheap);
+  LRU cache keeps repeat probes cheap, and chips of one topology share
+  the candidate memos behind it);
 - ``power_of_two`` — classic power-of-two-choices: two chips sampled by
   a per-session seeded draw, the less loaded one first.
 
@@ -48,6 +49,7 @@ from repro.arch.topology import Topology
 from repro.core.hypervisor import Hypervisor
 from repro.core.registry import Registry
 from repro.core.strategies import resolve_strategy
+from repro.core.topology_mapping import MappingContext, topology_key
 from repro.core.vnpu import VNpuSpec
 from repro.cost import CostModel, coerce_cost_model
 from repro.errors import AllocationError, ServingError
@@ -160,11 +162,14 @@ class BestFitPlacement(PlacementPolicy):
     whose probe finds no connected placement is excluded (the real
     placement would fail the same way). Probe results are pure functions
     of (request structure, free-core set), so the per-chip mapping cache
-    absorbs the repeat probes churn produces. The probe inherits the
-    mapper's candidate-enumeration cost: on large chips (36+ cores) with
-    heavily shattered free sets, ranking pays Algorithm 1's worst case
-    per chip — prefer ``least_loaded`` for big-chip fleets where probe
-    cost matters more than placement quality.
+    absorbs the repeat probes churn produces, and the candidate scores a
+    miss needs are shared by every chip of the same topology (one
+    mapping context per topology, see :class:`FleetScheduler`). The
+    probe inherits the mapper's candidate-enumeration cost: on large
+    chips (36+ cores) with heavily shattered free sets, ranking pays
+    Algorithm 1's worst case per distinct free set — prefer
+    ``least_loaded`` for big-chip fleets where probe cost matters more
+    than placement quality.
     """
 
     name = "best_fit"
@@ -389,9 +394,18 @@ class FleetScheduler:
             raise ServingError("fleet needs at least one chip config")
         self.sim = sim or Simulator()
         self.chips: list[FleetChip] = []
+        # One mapping context per distinct chip topology: the mapper's
+        # candidate memos are pure functions of (topology, request, node
+        # set), so identical chips score each candidate once.
+        contexts: dict[tuple, MappingContext] = {}
         for index, config in enumerate(configs):
             chip = Chip(config, sim=self.sim)
-            self.chips.append(FleetChip(index, chip, Hypervisor(chip)))
+            key = topology_key(chip.topology)
+            if key not in contexts:
+                contexts[key] = MappingContext(chip.topology)
+            self.chips.append(FleetChip(
+                index, chip,
+                Hypervisor(chip, mapping_context=contexts[key])))
         self.policy = coerce_policy(policy)
         self.placement = coerce_placement(placement)
         if strategy is not None:
@@ -464,7 +478,10 @@ class FleetScheduler:
         Every placement probe and provision lands on some chip's mapper;
         the sum is the fleet's mapping workload: cache hits/misses,
         candidates considered/pruned/refined, objective evaluations and
-        free-set rebuilds vs incremental updates.
+        free-set rebuilds vs incremental updates. Chips of one topology
+        share a mapping context, so ``objective_evaluations`` counts each
+        memoized 2-opt polish once fleet-wide, while the per-chip result
+        cache keeps ``hits``/``misses`` exactly as with private mappers.
         """
         total: dict[str, int | float] = {}
         for fleet_chip in self.chips:

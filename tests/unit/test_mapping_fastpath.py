@@ -132,7 +132,7 @@ class TestFastPathEquivalence:
                               fast_path=True)
         reference = TopologyMapper(chip, costs=costs, cache_size=0,
                                    fast_path=False)
-        assert not fast._delta_exact
+        assert not fast.context.delta_exact
         allocated = {0, 4, 8, 15, 19, 23, 26, 30, 34}
         for shape in ((2, 3), (3, 3), (2, 2)):
             request = Topology.mesh2d(*shape)
@@ -143,12 +143,12 @@ class TestFastPathEquivalence:
 
     def test_dyadic_scalar_costs_keep_delta_refine(self):
         chip = Topology.mesh2d(3, 3)
-        assert TopologyMapper(chip)._delta_exact
+        assert TopologyMapper(chip).context.delta_exact
         halves = EditCosts(node_delete=1.5, node_insert=2.0,
                            edge_insert=0.5)
-        assert TopologyMapper(chip, costs=halves)._delta_exact
+        assert TopologyMapper(chip, costs=halves).context.delta_exact
         assert not TopologyMapper(
-            chip, costs=EditCosts(edge_insert=0.1))._delta_exact
+            chip, costs=EditCosts(edge_insert=0.1)).context.delta_exact
 
     def test_equivalence_under_churn_with_notify(self):
         """Interleaved alloc/free churn with incremental maintenance on
@@ -365,9 +365,9 @@ class TestTopologyMutationHelpers:
 
     def test_chip_hops_computed_once_and_correct(self):
         chip, fast, _ = make_pair(3, 3)
-        hops = fast.chip_hops
+        hops = fast.context.chip_hops
         assert hops[0][8] == chip.hop_distance(0, 8)
-        assert fast.chip_hops is hops
+        assert fast.context.chip_hops is hops
 
     def test_mesh_dims_factorization(self):
         from repro.analysis.perf import mesh_dims
