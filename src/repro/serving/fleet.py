@@ -645,6 +645,10 @@ class FleetScheduler:
             "cost_tier": self.cost_model.name,
             "cost_state": self.cost_model.snapshot_state(),
         }
+        if self.defrag is not None:
+            # Only defragmenting fleets carry the flags, so every other
+            # snapshot keeps its historical byte layout.
+            state["defrag_spent"] = [e.defrag_spent for e in self._pending]
         if not detach:
             return state
         return pickle.loads(pickle.dumps(state))
@@ -676,13 +680,15 @@ class FleetScheduler:
         for fleet_chip, chip_state in zip(fleet.chips, state["chips"]):
             fleet_chip.hypervisor.restore_state(chip_state)
         fleet.metrics = state["metrics"]
+        spent = state.get("defrag_spent") or [False] * len(state["pending"])
         for (session, preemptions, evacuations, kills, lost, blocked,
-             relief_exhausted) in state["pending"]:
+             relief_exhausted), defrag_spent in zip(state["pending"], spent):
             entry = PendingSession(
                 session, preemptions=preemptions, evacuations=evacuations,
                 kills=kills, lost_service_cycles=lost)
             entry.blocked = blocked
             entry.relief_exhausted = relief_exhausted
+            entry.defrag_spent = defrag_spent
             fleet._pending.append(entry)
         for active in state["active"]:
             fleet._active[(active.chip_index, active.vmid)] = active
@@ -745,6 +751,7 @@ class FleetScheduler:
         for entry in self._pending:
             entry.blocked = False
             entry.relief_exhausted = False
+            entry.defrag_spent = False
         self._admit_loop()
         self._grow_back()
         self._sample()
@@ -773,11 +780,15 @@ class FleetScheduler:
             self._pending.remove(entry)
             self.metrics.rejected += 1
             return
-        if self.defrag is not None and self._defragment(entry.session):
-            for pending in self._pending:
-                pending.blocked = False
-            if self._place(entry):
-                return
+        if self.defrag is not None and not entry.defrag_spent:
+            # At most one defrag round per entry between free-set
+            # changes (departure, chip failure or recovery).
+            entry.defrag_spent = True
+            if self._defragment(entry.session):
+                for pending in self._pending:
+                    pending.blocked = False
+                if self._place(entry):
+                    return
         entry.blocked = True
 
     def _refused_by_idle_chip(self, session: TenantSession) -> bool:
@@ -1164,6 +1175,7 @@ class FleetScheduler:
         for pending in self._pending:
             pending.blocked = False
             pending.relief_exhausted = False
+            pending.defrag_spent = False
         self._admit_loop()
         self._sample()
 
@@ -1184,6 +1196,7 @@ class FleetScheduler:
         for pending in self._pending:
             pending.blocked = False
             pending.relief_exhausted = False
+            pending.defrag_spent = False
         self._admit_loop()
         self._grow_back()
         self._sample()

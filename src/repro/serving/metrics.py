@@ -10,7 +10,8 @@ rather than interpolation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right, insort
+from dataclasses import dataclass, field
 
 from repro.arch.topology import Topology
 from repro.serving.slo import resolve_slo
@@ -45,9 +46,36 @@ def percentile(values: list[int | float], pct: float) -> float:
         return 0.0
     if not 0 <= pct <= 100:
         raise ValueError(f"percentile must be in [0, 100], got {pct}")
-    ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * pct // 100))  # ceil without floats
-    return float(ordered[int(rank) - 1])
+    return _ranked([sorted(values)], pct)
+
+
+def _ranked(runs: "list[list]", pct: float) -> float:
+    """Nearest-rank percentile over the union of already-sorted runs.
+
+    One run is a plain index; several (per-shard delay lists) are
+    selected without merging: for each run, binary-search its first
+    element whose rank across all runs reaches the target — the
+    smallest such element is the answer. O(k^2 log^2 n) for k runs.
+    """
+    runs = [run for run in runs if run]
+    total = sum(len(run) for run in runs)
+    if not total:
+        return 0.0
+    rank = int(max(1, -(-total * pct // 100)))  # ceil without floats
+    if len(runs) == 1:
+        return float(runs[0][rank - 1])
+    best = None
+    for run in runs:
+        lo, hi = 0, len(run)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sum(bisect_right(other, run[mid]) for other in runs) >= rank:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo < len(run) and (best is None or run[lo] < best):
+            best = run[lo]
+    return float(best)
 
 
 def fragmentation_ratio(topology: Topology, allocated: set[int]) -> float:
@@ -134,6 +162,193 @@ class ClusterSample:
     queue_length: int
 
 
+class _ClassTally:
+    """One SLO class's running record aggregates (sorted delays + sums)."""
+
+    __slots__ = ("delays", "preemptions", "resizes", "evacuations",
+                 "kills", "lost_service_cycles")
+
+    def __init__(self) -> None:
+        self.delays: list[int] = []
+        self.preemptions = 0
+        self.resizes = 0
+        self.evacuations = 0
+        self.kills = 0
+        self.lost_service_cycles = 0
+
+
+class _Fold:
+    """Exact running aggregates over append-only metrics logs.
+
+    ``logs`` is ``(records,)``, ``(records, samples)`` or ``(records,
+    samples, fleet_samples)``; :meth:`advance` folds in only what was
+    appended since the previous call, one cursor per list. Every sum
+    adds its terms in list order, so each aggregate is bit-identical
+    to a from-scratch pass over the whole history. A fold only
+    :meth:`covers` lists it has been folding that are still at least
+    as long as its cursors; anything else (a list replaced, or one a
+    checkpoint splice truncated) needs a fresh fold.
+    """
+
+    __slots__ = ("logs", "seen", "delays", "delay_sum", "migrated",
+                 "faulted", "classes", "utilization", "fragmentation",
+                 "fragmentation_max", "queue_max", "spread", "chips")
+
+    def __init__(self, logs: "tuple[list, ...]") -> None:
+        self.logs = logs
+        self.seen = (0,) * len(logs)
+        # records
+        self.delays: list[int] = []        # sorted queue delays
+        self.delay_sum = 0
+        self.migrated = 0
+        self.faulted = False
+        self.classes: dict[str, _ClassTally] = {}
+        # aggregate samples: time-weighted sums and running maxima
+        self.utilization = 0.0
+        self.fragmentation = 0.0
+        self.fragmentation_max: float | None = None
+        self.queue_max: int | None = None
+        # per-chip samples
+        self.spread = 0.0
+        self.chips: list[float] = []
+
+    def covers(self, logs: "tuple[list, ...]") -> bool:
+        return len(logs) == len(self.logs) and all(
+            log is folded and len(log) >= seen
+            for log, folded, seen in zip(logs, self.logs, self.seen))
+
+    def advance(self) -> "_Fold":
+        for fold, log, seen in zip(
+                (self._records, self._samples, self._fleet_samples),
+                self.logs, self.seen):
+            if len(log) > seen:
+                fold(log, seen)
+        self.seen = tuple(len(log) for log in self.logs)
+        return self
+
+    def _records(self, records: "list[SessionRecord]", start: int) -> None:
+        classes = self.classes
+        for record in records[start:]:
+            delay = record.queue_delay_cycles
+            insort(self.delays, delay)
+            self.delay_sum += delay
+            if record.migrations > 0:
+                self.migrated += 1
+            if record.evacuations or record.kills or record.lost_service_cycles:
+                self.faulted = True
+            if record.slo:
+                tally = classes.get(record.slo)
+                if tally is None:
+                    tally = classes[record.slo] = _ClassTally()
+                insort(tally.delays, delay)
+                tally.preemptions += record.preemptions
+                tally.resizes += record.resizes
+                tally.evacuations += record.evacuations
+                tally.kills += record.kills
+                tally.lost_service_cycles += record.lost_service_cycles
+
+    def _samples(self, samples: "list[ClusterSample]", start: int) -> None:
+        utilization, fragmentation = self.utilization, self.fragmentation
+        peak, queue_max = self.fragmentation_max, self.queue_max
+        for index in range(start, len(samples)):
+            current = samples[index]
+            if index:
+                previous = samples[index - 1]
+                weight = current.cycle - previous.cycle
+                utilization += previous.utilization * weight
+                fragmentation += previous.fragmentation * weight
+            if peak is None or current.fragmentation > peak:
+                peak = current.fragmentation
+            if queue_max is None or current.queue_length > queue_max:
+                queue_max = current.queue_length
+        self.utilization, self.fragmentation = utilization, fragmentation
+        self.fragmentation_max, self.queue_max = peak, queue_max
+
+    def _fleet_samples(self, samples: "list[FleetSample]",
+                       start: int) -> None:
+        if not start:
+            self.chips = [0.0] * len(samples[0].utilization)
+        spread, chips = self.spread, self.chips
+        for index in range(max(start, 1), len(samples)):
+            previous = samples[index - 1]
+            weight = samples[index].cycle - previous.cycle
+            spread += previous.utilization_spread * weight
+            chips = [total + value * weight
+                     for total, value in zip(chips, previous.utilization)]
+        self.spread, self.chips = spread, chips
+
+
+def _time_weighted(samples: list, total, attribute: str):
+    """A folded time-weighted sum over ``samples``, normalized by span.
+
+    ``total`` is the folded sum of ``value * (next.cycle - cycle)``
+    (a list of per-chip sums for tuple-valued attributes); fewer than
+    two samples or a zero span fall back to a single sample's value.
+    """
+    if len(samples) < 2:
+        return getattr(samples[0], attribute) if samples else 0.0
+    span = samples[-1].cycle - samples[0].cycle
+    if span <= 0:
+        return getattr(samples[-1], attribute)
+    if isinstance(total, list):
+        return [value / span for value in total]
+    return total / span
+
+
+def _delay_digest(folds: "list[_Fold]") -> dict:
+    """The ``queue_delay_cycles`` block over one or more folds."""
+    runs = [fold.delays for fold in folds]
+    count = sum(len(run) for run in runs)
+    total = sum(fold.delay_sum for fold in folds)
+    return {
+        "mean": round(total / count if count else 0.0, 3),
+        "p50": _ranked(runs, 50),
+        "p95": _ranked(runs, 95),
+        "max": float(max(run[-1] for run in runs if run)) if count else 0.0,
+    }
+
+
+def _class_digest(folds: "list[_Fold]", seconds: float) -> dict:
+    """Per-SLO-class rows over one or more folds (see :class:`SLOMetrics`).
+
+    Classes are resolved here, at summary time: ``met`` counts the
+    sorted delays at or under the class's *current* target.
+    """
+    # The fault keys appear only when the run saw fault activity at
+    # all, so fault-free digests (every pre-fault bench artifact) keep
+    # their historical byte layout.
+    faulted = any(fold.faulted for fold in folds)
+    per_class: dict[str, dict] = {}
+    for name in sorted({name for fold in folds for name in fold.classes}):
+        slo = resolve_slo(name)
+        tallies = [fold.classes[name] for fold in folds
+                   if name in fold.classes]
+        runs = [tally.delays for tally in tallies]
+        completed = sum(len(run) for run in runs)
+        target = slo.queue_delay_target_cycles
+        met = completed if target is None else sum(
+            bisect_right(run, target) for run in runs)
+        per_class[name] = {
+            "attainment": round(met / completed, 6),
+            "goodput_sessions_per_second": round(
+                met / seconds if seconds else 0.0, 6),
+            "p99_queue_delay_cycles": _ranked(runs, 99),
+            "preemptions": sum(t.preemptions for t in tallies),
+            "resizes": sum(t.resizes for t in tallies),
+            "sessions_completed": completed,
+            "sessions_met_slo": met,
+            "tier": slo.tier,
+        }
+        if faulted:
+            per_class[name].update({
+                "evacuations": sum(t.evacuations for t in tallies),
+                "killed_sessions": sum(t.kills for t in tallies),
+                "lost_service_cycles": sum(t.lost_service_cycles
+                                           for t in tallies),
+            })
+    return per_class
+
+
 @dataclass
 class SLOMetrics:
     """Per-SLO-class outcomes distilled from the session records.
@@ -151,40 +366,7 @@ class SLOMetrics:
     @classmethod
     def from_records(cls, records: list[SessionRecord],
                      seconds: float) -> "SLOMetrics":
-        grouped: dict[str, list[SessionRecord]] = {}
-        for record in records:
-            if record.slo:
-                grouped.setdefault(record.slo, []).append(record)
-        # The fault keys appear only when the run saw fault activity at
-        # all, so fault-free digests (every pre-fault bench artifact)
-        # keep their historical byte layout.
-        faulted = any(r.evacuations or r.kills or r.lost_service_cycles
-                      for r in records)
-        per_class: dict[str, dict] = {}
-        for name in sorted(grouped):
-            slo = resolve_slo(name)
-            group = grouped[name]
-            delays = [r.queue_delay_cycles for r in group]
-            met = sum(1 for r in group if slo.met(r.queue_delay_cycles))
-            per_class[name] = {
-                "attainment": round(met / len(group), 6),
-                "goodput_sessions_per_second": round(
-                    met / seconds if seconds else 0.0, 6),
-                "p99_queue_delay_cycles": percentile(delays, 99),
-                "preemptions": sum(r.preemptions for r in group),
-                "resizes": sum(r.resizes for r in group),
-                "sessions_completed": len(group),
-                "sessions_met_slo": met,
-                "tier": slo.tier,
-            }
-            if faulted:
-                per_class[name].update({
-                    "evacuations": sum(r.evacuations for r in group),
-                    "killed_sessions": sum(r.kills for r in group),
-                    "lost_service_cycles": sum(r.lost_service_cycles
-                                               for r in group),
-                })
-        return cls(per_class)
+        return cls(_class_digest([_Fold((records,)).advance()], seconds))
 
     def digest(self) -> dict:
         return dict(self.per_class)
@@ -192,7 +374,13 @@ class SLOMetrics:
 
 @dataclass
 class ServingMetrics:
-    """Accumulates records and samples over one scheduler run."""
+    """Accumulates records and samples over one scheduler run.
+
+    The record and sample lists are append-only logs. Summaries are
+    read from a private :class:`_Fold` that folds in only what was
+    appended since the previous ``summary()``; it is never pickled (a
+    restored or copied object rebuilds it on its first summary).
+    """
 
     records: list[SessionRecord] = field(default_factory=list)
     samples: list[ClusterSample] = field(default_factory=list)
@@ -211,6 +399,15 @@ class ServingMetrics:
     grows: int = 0
     resize_cycles: int = 0
 
+    #: The summary accumulator (not a dataclass field: no init, repr,
+    #: comparison or pickling).
+    _acc = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_acc", None)
+        return state
+
     def record_departure(self, record: SessionRecord) -> None:
         self.records.append(record)
 
@@ -225,22 +422,26 @@ class ServingMetrics:
         self.resize_cycles += cycles
 
     # -- aggregation -------------------------------------------------------
-    def _time_weighted_mean(self, attribute: str) -> float:
-        """Mean of a sample field weighted by how long each state held."""
-        if len(self.samples) < 2:
-            return getattr(self.samples[0], attribute) if self.samples else 0.0
-        total = 0.0
-        span = self.samples[-1].cycle - self.samples[0].cycle
-        if span <= 0:
-            return getattr(self.samples[-1], attribute)
-        for current, following in zip(self.samples, self.samples[1:]):
-            total += getattr(current, attribute) * (following.cycle
-                                                    - current.cycle)
-        return total / span
+    def _logs(self) -> "tuple[list, ...]":
+        return (self.records, self.samples)
+
+    def _fold(self) -> _Fold:
+        """The accumulator, advanced over everything appended since."""
+        logs = self._logs()
+        if self._acc is None or not self._acc.covers(logs):
+            self._acc = _Fold(logs)
+        return self._acc.advance()
 
     def summary(self, frequency_hz: int) -> dict:
-        """A JSON-able digest of the run (rounded for stable serialization)."""
-        delays = [r.queue_delay_cycles for r in self.records]
+        """A JSON-able digest of the run (rounded for stable serialization).
+
+        Incremental and exact: each call folds in only the records and
+        samples appended since the previous one — O(new events + SLO
+        classes) — and returns exactly what a from-scratch pass over the
+        whole history would (same summation order, nearest-rank
+        percentiles off sorted delay lists).
+        """
+        fold = self._fold()
         makespan = self.samples[-1].cycle if self.samples else 0
         seconds = makespan / frequency_hz if makespan else 0.0
         return {
@@ -248,27 +449,20 @@ class ServingMetrics:
             "sessions_per_second": round(
                 len(self.records) / seconds if seconds else 0.0, 6),
             "makespan_cycles": makespan,
-            "queue_delay_cycles": {
-                "mean": round(sum(delays) / len(delays) if delays else 0.0, 3),
-                "p50": percentile(delays, 50),
-                "p95": percentile(delays, 95),
-                "max": float(max(delays)) if delays else 0.0,
-            },
-            "utilization_time_weighted": round(
-                self._time_weighted_mean("utilization"), 6),
+            "queue_delay_cycles": _delay_digest([fold]),
+            "utilization_time_weighted": round(_time_weighted(
+                self.samples, fold.utilization, "utilization"), 6),
             "fragmentation": {
-                "time_weighted_mean": round(
-                    self._time_weighted_mean("fragmentation"), 6),
-                "max": round(max((s.fragmentation for s in self.samples),
-                                 default=0.0), 6),
+                "time_weighted_mean": round(_time_weighted(
+                    self.samples, fold.fragmentation, "fragmentation"), 6),
+                "max": round(0.0 if fold.fragmentation_max is None
+                             else fold.fragmentation_max, 6),
             },
-            "queue_length_max": max((s.queue_length for s in self.samples),
-                                    default=0),
+            "queue_length_max": fold.queue_max or 0,
             "admission_failures": self.admission_failures,
             "sessions_rejected": self.rejected,
             "slo": {
-                "classes": SLOMetrics.from_records(self.records,
-                                                   seconds).digest(),
+                "classes": _class_digest([fold], seconds),
                 "grows": self.grows,
                 "preemptions": self.preemptions,
                 "resize_cycles": self.resize_cycles,
@@ -300,7 +494,10 @@ class FleetMetrics(ServingMetrics):
     The inherited ``samples`` hold the fleet *aggregate* (total free
     cores, fleet-wide utilization, mean fragmentation), so every
     single-chip summary statistic keeps its meaning; ``fleet_samples``
-    break the same instants down per chip.
+    break the same instants down per chip. The summary's per-chip
+    columns and utilization spread are folded incrementally alongside
+    the inherited aggregates, so a scrape costs O(new events + chips +
+    SLO classes), not O(history).
     """
 
     fleet_samples: list[FleetSample] = field(default_factory=list)
@@ -353,50 +550,32 @@ class FleetMetrics(ServingMetrics):
         self.lost_service_cycles += lost_service_cycles
 
     # -- aggregation -------------------------------------------------------
-    def _time_weighted_spread(self) -> float:
-        """Time-weighted mean of the per-instant utilization spread."""
-        if len(self.fleet_samples) < 2:
-            return (self.fleet_samples[0].utilization_spread
-                    if self.fleet_samples else 0.0)
-        span = self.fleet_samples[-1].cycle - self.fleet_samples[0].cycle
-        if span <= 0:
-            return self.fleet_samples[-1].utilization_spread
-        total = 0.0
-        for current, following in zip(self.fleet_samples,
-                                      self.fleet_samples[1:]):
-            total += current.utilization_spread * (following.cycle
-                                                   - current.cycle)
-        return total / span
+    def _logs(self) -> "tuple[list, ...]":
+        return (self.records, self.samples, self.fleet_samples)
 
     def per_chip_time_weighted_utilization(self) -> list[float]:
         if not self.fleet_samples:
             return []
-        chips = len(self.fleet_samples[0].utilization)
-        if len(self.fleet_samples) < 2:
-            return [round(u, 6) for u in self.fleet_samples[0].utilization]
-        span = self.fleet_samples[-1].cycle - self.fleet_samples[0].cycle
-        if span <= 0:
-            return [round(u, 6) for u in self.fleet_samples[-1].utilization]
-        totals = [0.0] * chips
-        for current, following in zip(self.fleet_samples,
-                                      self.fleet_samples[1:]):
-            weight = following.cycle - current.cycle
-            for index in range(chips):
-                totals[index] += current.utilization[index] * weight
-        return [round(total / span, 6) for total in totals]
+        return [round(u, 6) for u in _time_weighted(
+            self.fleet_samples, self._fold().chips, "utilization")]
 
     def summary(self, frequency_hz: int) -> dict:
+        """:meth:`ServingMetrics.summary` plus the ``fleet`` block.
+
+        The per-chip columns and the utilization spread come from the
+        same incremental fold: O(new events + chips) per call.
+        """
         digest = super().summary(frequency_hz)
+        fold = self._fold()
         digest["fleet"] = {
             "chips": (len(self.fleet_samples[0].utilization)
                       if self.fleet_samples else 0),
             "migrations": self.migrations,
             "migration_cycles": self.migration_cycles,
             "migration_failures": self.migration_failures,
-            "sessions_migrated": sum(
-                1 for r in self.records if r.migrations > 0),
-            "utilization_spread_time_weighted": round(
-                self._time_weighted_spread(), 6),
+            "sessions_migrated": fold.migrated,
+            "utilization_spread_time_weighted": round(_time_weighted(
+                self.fleet_samples, fold.spread, "utilization_spread"), 6),
             "per_chip_utilization_time_weighted":
                 self.per_chip_time_weighted_utilization(),
         }
@@ -422,12 +601,17 @@ def merge_fleet_summaries(parts: "list[FleetMetrics]",
     The sharded coordinator's summary: the shape mirrors
     :meth:`FleetMetrics.summary` so downstream tooling reads both, with
     a ``sharding.per_shard`` breakdown instead of per-chip columns.
-    Everything is computed from the deterministic per-shard streams —
-    records merged in ``(depart_cycle, session_id)`` order with chip
-    indices remapped to fleet-global (``chip_offsets[shard] + local``),
-    counters summed in shard order, utilization/fragmentation
-    core-weighted across shards — so the digest depends only on the
-    shard decomposition, never on how shards were spread over workers.
+    Built from the per-shard incremental folds, never from merged
+    records: counts and delay sums add up, percentiles are selected
+    exactly across the shards' sorted delay lists, counters are summed
+    in shard order and utilization/fragmentation are core-weighted
+    across shards. The digest equals one computed over all records
+    merged in ``(depart_cycle, session_id)`` order, so it depends only
+    on the shard decomposition, never on how shards were spread over
+    workers — and a repeated call costs O(shards x (classes + log n)).
+    (``chip_offsets`` map shard-local chip indices to fleet-global
+    ones; no digest field reads a record's chip, so they are only
+    validated here.)
 
     Two aggregate caveats, both deliberate: ``queue_length_max`` is the
     max over per-shard maxima (shard queues are disjoint; instants are
@@ -446,74 +630,69 @@ def merge_fleet_summaries(parts: "list[FleetMetrics]",
         raise ValueError(
             f"merge needs aligned inputs; got {len(parts)} metrics, "
             f"{len(core_counts)} core counts, {len(chip_offsets)} offsets")
-    records: list[SessionRecord] = []
-    for part, offset in zip(parts, chip_offsets):
-        records.extend(replace(r, chip=offset + r.chip)
-                       for r in part.records)
-    records.sort(key=lambda r: (r.depart_cycle, r.session_id))
+    folds = [part._fold() for part in parts]
+    completed = sum(len(p.records) for p in parts)
     makespan = max((p.samples[-1].cycle for p in parts if p.samples),
                    default=0)
     seconds = makespan / frequency_hz if makespan else 0.0
-    delays = [r.queue_delay_cycles for r in records]
     total_cores = sum(core_counts) or 1
+    utilization = [_time_weighted(p.samples, f.utilization, "utilization")
+                   for p, f in zip(parts, folds)]
+    fragmentation = [
+        _time_weighted(p.samples, f.fragmentation, "fragmentation")
+        for p, f in zip(parts, folds)]
 
     def core_weighted(values: "list[float]") -> float:
         return sum(v * c for v, c in zip(values, core_counts)) / total_cores
 
+    def chips(part: FleetMetrics) -> int:
+        return (len(part.fleet_samples[0].utilization)
+                if part.fleet_samples else 0)
+
     digest = {
-        "sessions_completed": len(records),
+        "sessions_completed": completed,
         "sessions_per_second": round(
-            len(records) / seconds if seconds else 0.0, 6),
+            completed / seconds if seconds else 0.0, 6),
         "makespan_cycles": makespan,
-        "queue_delay_cycles": {
-            "mean": round(sum(delays) / len(delays) if delays else 0.0, 3),
-            "p50": percentile(delays, 50),
-            "p95": percentile(delays, 95),
-            "max": float(max(delays)) if delays else 0.0,
-        },
-        "utilization_time_weighted": round(core_weighted(
-            [p._time_weighted_mean("utilization") for p in parts]), 6),
+        "queue_delay_cycles": _delay_digest(folds),
+        "utilization_time_weighted": round(core_weighted(utilization), 6),
         "fragmentation": {
-            "time_weighted_mean": round(core_weighted(
-                [p._time_weighted_mean("fragmentation") for p in parts]), 6),
-            "max": round(max((s.fragmentation for p in parts
-                              for s in p.samples), default=0.0), 6),
+            "time_weighted_mean": round(core_weighted(fragmentation), 6),
+            "max": round(max((f.fragmentation_max for f in folds
+                              if f.fragmentation_max is not None),
+                             default=0.0), 6),
         },
-        "queue_length_max": max((s.queue_length for p in parts
-                                 for s in p.samples), default=0),
+        "queue_length_max": max((f.queue_max for f in folds
+                                 if f.queue_max is not None), default=0),
         "admission_failures": sum(p.admission_failures for p in parts),
         "sessions_rejected": sum(p.rejected for p in parts),
         "slo": {
-            "classes": SLOMetrics.from_records(records, seconds).digest(),
+            "classes": _class_digest(folds, seconds),
             "grows": sum(p.grows for p in parts),
             "preemptions": sum(p.preemptions for p in parts),
             "resize_cycles": sum(p.resize_cycles for p in parts),
             "shrinks": sum(p.shrinks for p in parts),
         },
         "fleet": {
-            "chips": sum((len(p.fleet_samples[0].utilization)
-                          if p.fleet_samples else 0) for p in parts),
+            "chips": sum(chips(p) for p in parts),
             "migrations": sum(p.migrations for p in parts),
             "migration_cycles": sum(p.migration_cycles for p in parts),
             "migration_failures": sum(p.migration_failures for p in parts),
-            "sessions_migrated": sum(1 for r in records if r.migrations > 0),
+            "sessions_migrated": sum(f.migrated for f in folds),
         },
         "sharding": {
             "shards": len(parts),
             "per_shard": [
                 {
-                    "chips": (len(p.fleet_samples[0].utilization)
-                              if p.fleet_samples else 0),
+                    "chips": chips(p),
                     "sessions_completed": len(p.records),
                     "makespan_cycles": (p.samples[-1].cycle
                                         if p.samples else 0),
-                    "utilization_time_weighted": round(
-                        p._time_weighted_mean("utilization"), 6),
-                    "fragmentation_time_weighted": round(
-                        p._time_weighted_mean("fragmentation"), 6),
+                    "utilization_time_weighted": round(u, 6),
+                    "fragmentation_time_weighted": round(f, 6),
                     "migrations": p.migrations,
                 }
-                for p in parts
+                for p, u, f in zip(parts, utilization, fragmentation)
             ],
         },
     }

@@ -81,6 +81,11 @@ class PendingSession:
     #: livelock: evict a victim, fail to place, watch the victim
     #: re-admit to the same cores, evict again, forever.
     relief_exhausted: bool = False
+    #: Set when a fleet defragmentation round was spent on this entry;
+    #: cleared with ``relief_exhausted``. Migrations unblock every queued
+    #: entry, so without it two blocked entries can migrate the same
+    #: tenants back and forth forever at one simulated cycle.
+    defrag_spent: bool = False
 
 
 @dataclass(slots=True)

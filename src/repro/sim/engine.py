@@ -400,9 +400,20 @@ class Simulator:
         ``limit`` is a safety horizon, not a target time: when the queue
         drains early the clock stays at the last dispatched cycle (so
         makespans and deadlock reports name the real final cycle, not the
-        horizon).
+        horizon). A live process with events still queued past ``limit``
+        is not a deadlock: that error names the horizon and the queued
+        event count instead.
         """
         self._drain(limit)
+        if self._cycle_heap:
+            stuck = [p.name for p in self._processes if p.alive]
+            if stuck:
+                queued = sum(len(b) for b in self._buckets.values())
+                raise SimulationError(
+                    f"horizon reached: limit={limit} stopped the run with "
+                    f"{queued} events still queued; processes still "
+                    f"running: {stuck}"
+                )
         self.finish_processes()
         return self.now
 

@@ -102,3 +102,20 @@ class TestFinishProcesses:
         sim.process(waiter(sim), name="orphan")
         with pytest.raises(SimulationError, match="orphan"):
             sim.run_until_processes_done()
+
+    def test_horizon_names_limit_and_queued_events(self):
+        # Events still queued past ``limit`` mean the horizon cut the
+        # run short, not a deadlock; the message must say so.
+        sim = Simulator()
+
+        def sleeper(sim):
+            yield sim.timeout(500)
+
+        sim.process(sleeper(sim), name="sleeper")
+        sim.process(sleeper(sim), name="other-sleeper")
+        with pytest.raises(SimulationError,
+                           match=r"horizon reached: limit=100 .* 2 events "
+                                 r"still queued") as excinfo:
+            sim.run_until_processes_done(limit=100)
+        assert "deadlock" not in str(excinfo.value)
+        assert "sleeper" in str(excinfo.value)

@@ -1,5 +1,11 @@
 """Unit tests for the multi-chip fleet: placement, migration, defrag."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.arch.chip import Chip
@@ -13,7 +19,6 @@ from repro.serving import (
     DefragPolicy,
     FleetScheduler,
     LeastLoadedPlacement,
-    PendingSession,
     PowerOfTwoPlacement,
     TenantSession,
     available_placements,
@@ -186,6 +191,33 @@ class TestFleetScheduler:
         migrated = [r for r in metrics.records if r.migrations > 0]
         assert migrated, "no session carried a migration count"
         assert sum(r.migrations for r in migrated) == metrics.migrations
+
+    def test_defrag_does_not_livelock(self):
+        """Two blocked entries used to migrate the same tenants back and
+        forth forever at one simulated cycle (seed 3 spun past 100k
+        migrations). Each entry now defragments at most once between
+        free-set changes. The run is a subprocess with a hard timeout,
+        so a regression fails here instead of hanging the suite."""
+        script = textwrap.dedent("""
+            from repro.serving import (DEFAULT_SLO_MIX, DefragPolicy,
+                                       FleetScheduler, generate_fleet_trace)
+            trace = generate_fleet_trace(3, 1000, chips=8, max_cores=16,
+                                         mean_interarrival_cycles=40_000_000,
+                                         fragmentation_heavy=True,
+                                         slo_mix=DEFAULT_SLO_MIX)
+            metrics = FleetScheduler.homogeneous(
+                8, cores=16, placement="best_fit",
+                defrag=DefragPolicy(0.2)).serve(trace)
+            print(len(metrics.records) + metrics.rejected, metrics.migrations)
+        """)
+        src = Path(__file__).resolve().parents[2] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert result.returncode == 0, result.stderr
+        served, migrations = map(int, result.stdout.split())
+        assert served == 1000
+        assert 0 < migrations < 1000
 
     def test_fleet_summary_shape(self):
         fleet = self.make(chips=2)

@@ -16,6 +16,7 @@ import pytest
 from repro.errors import HypervisorError
 from repro.serving import (
     DEFAULT_SLO_MIX,
+    DefragPolicy,
     FleetScheduler,
     generate_failure_schedule,
     generate_fleet_trace,
@@ -111,6 +112,35 @@ class TestContinuedRunEquivalence:
                                            failures=3)
         restored, oracle, _ = run_split(trace, 5_000_000, faults=faults)
         assert summary_of(restored) == summary_of(oracle)
+
+    def test_continued_equals_oracle_with_defrag_spent_entries(self):
+        # Pause where a queued entry has already spent its defrag round:
+        # the flag must ride the checkpoint, or the restored fleet
+        # defragments again and drifts off the oracle's timeline.
+        trace = generate_fleet_trace(3, 1000, chips=8, max_cores=16,
+                                     mean_interarrival_cycles=40_000_000,
+                                     fragmentation_heavy=True,
+                                     slo_mix=DEFAULT_SLO_MIX)
+        kwargs = {"placement": "best_fit", "defrag": DefragPolicy(0.2)}
+        fleet = FleetScheduler.homogeneous(8, cores=16, **kwargs)
+        fleet.submit(trace)
+        fleet.run(until=2_114_727_256)
+        state = fleet.snapshot()
+        assert any(state["defrag_spent"])
+        restored = FleetScheduler.restore(state, **kwargs)
+        assert restored.snapshot()["defrag_spent"] == state["defrag_spent"]
+        restored.run()
+        oracle = FleetScheduler.homogeneous(8, cores=16, **kwargs)
+        oracle.submit(trace)
+        oracle.run()
+        assert summary_of(restored) == summary_of(oracle)
+        assert oracle.metrics.migrations > 0
+
+    def test_defrag_flags_only_in_defragmenting_snapshots(self):
+        fleet = FleetScheduler.homogeneous(4, cores=16)
+        fleet.submit(fleet_trace())
+        fleet.run(until=5_000_000)
+        assert "defrag_spent" not in fleet.snapshot()
 
     def test_cost_cache_rides_the_checkpoint(self):
         # Memoized prices are keyed (config, model, shape) but priced on
